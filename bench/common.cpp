@@ -183,10 +183,19 @@ void record_suite(obs::BenchReport& report, const std::string& label,
 }
 
 void finish_capture_bench(obs::BenchReport& report) {
-  const double captured = static_cast<double>(
-      obs::Registry::global().counter("trace.traces_captured").value());
+  obs::Registry& registry = obs::Registry::global();
+  const double captured =
+      static_cast<double>(registry.counter("trace.traces_captured").value());
   report.note("simd_isa", simd::backend_name());
   report.metric("traces_captured", captured, "traces");
+  // Capture's fixed cost: every RFTC device plans its frequency sets.
+  const obs::Histogram& plan_us = registry.histogram("rftc.plan_us");
+  report.metric("rftc.plans", static_cast<double>(plan_us.count()), "count");
+  report.metric("rftc.plan_seconds", plan_us.sum() / 1e6, "s");
+  for (const char* name : {"rftc.plan.attempts", "rftc.plan.rejected_sets",
+                           "rftc.plan.synth_evals"})
+    report.metric(name, static_cast<double>(registry.counter(name).value()),
+                  "count");
   report.throughput(captured / report.elapsed_seconds(), "traces/s");
   report.write();
 }

@@ -24,6 +24,7 @@
 #include "rftc/frequency_planner.hpp"
 #include "sched/fixed_clock.hpp"
 #include "trace/acquisition.hpp"
+#include "util/crc32.hpp"
 #include "util/parallel.hpp"
 
 namespace {
@@ -202,7 +203,26 @@ void BM_PlanFrequencies(benchmark::State& state) {
     benchmark::DoNotOptimize(core::plan_frequencies(pp));
   }
 }
-BENCHMARK(BM_PlanFrequencies)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
+// 1024 is RftcDevice::make's RFTC(3, 1024), where most candidate sets are
+// rejected.
+BENCHMARK(BM_PlanFrequencies)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+
+/// CRC-32 over a multi-MiB buffer: the integrity check on every .rtst chunk
+/// write, store verify() and wire-format snapshot seal.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<unsigned char> buf(static_cast<std::size_t>(state.range(0)));
+  Xoshiro256StarStar rng(0xC2C);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.next());
+  for (auto _ : state)
+    benchmark::DoNotOptimize(util::crc32(buf.data(), buf.size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 20)->Unit(benchmark::kMillisecond);
 
 /// Deterministic 1-NN template-matching workload for the DTW early-abandon
 /// gate: one query plus `count` candidates at paper-scale lengths.

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "util/time_types.hpp"
 
@@ -106,10 +107,83 @@ std::optional<SynthesisResult> synthesize_frequency(
 /// close as possible to the requested targets.  This is the constraint the
 /// paper leans on ("MMCM_DRP module has to have all M clock outputs
 /// dynamically reconfigured", §4): all M frequencies of a set share one VCO.
-/// Greedy: picks the (M, D) whose VCO minimizes the summed relative error of
-/// the best per-output dividers.
+/// Picks the (DIVCLK, MULT) pair, in (DIVCLK, MULT) scan order, whose VCO
+/// minimizes the summed relative error of the nearest per-output dividers;
+/// ties go to the first pair.  Builds a FrequencySetSynthesizer for one
+/// call — callers that synthesize many sets should keep one instead.
 std::optional<MmcmConfig> synthesize_frequency_set(
     double fin_mhz, const std::array<double, kMmcmOutputs>& targets_mhz,
     int count, const MmcmLimits& limits = {});
+
+/// synthesize_frequency_set for one input clock and limit set, with the
+/// VCO candidate table built once (≈12 KB at 24 MHz) so each call is a
+/// short exact search instead of a scan over every (DIVCLK, MULT) pair.
+///
+/// The result is the full scan's, field for field:
+///  * Pairs with the same VCO (e.g. D=1, M=8j and D=2, M=16j) score the
+///    same, so only the first can win a strict `<` scan.  The table keeps
+///    the first and drops the rest.
+///  * For positive targets the error is a sum of non-negative terms, and a
+///    floating-point sum of non-negative terms is at least each term.  So a
+///    VCO that ties or beats a best error B puts one "anchor" output within
+///    relative distance B of its target: VCO ∈ O·t·[1−B, 1+B] for some
+///    divider O.  A few seed VCOs give B; then only the candidates inside
+///    those windows are scored.
+///  * Before its exact error, each candidate is screened by a
+///    division-free lower bound (see consider()).
+///  * Errors are computed exactly as the full scan does, ties go to the
+///    lower scan index, and every bound carries a 1e-9 slack that dwarfs
+///    rounding.  Targets the bounds cannot handle (non-positive or
+///    non-finite) are scored over the whole table, unscreened.
+class FrequencySetSynthesizer {
+ public:
+  explicit FrequencySetSynthesizer(double fin_mhz, const MmcmLimits& limits = {});
+
+  std::optional<MmcmConfig> synthesize(
+      const std::array<double, kMmcmOutputs>& targets_mhz, int count);
+
+  /// Exact candidate errors computed so far (an early-abandoned one counts).
+  std::uint64_t exact_evaluations() const { return evaluations_; }
+
+ private:
+  struct Candidate {
+    double vco_mhz;
+    double inv_vco;
+    int mult_8ths;
+    int divclk;
+  };
+  struct Best {
+    double err;
+    std::size_t index;
+  };
+  /// One call's targets plus the per-output constants of the bounds.
+  struct Query {
+    const std::array<double, kMmcmOutputs>& targets;
+    int count;
+    bool bounded;  // every target positive and finite
+    std::array<double, kMmcmOutputs> step;      // VCO spacing of windows
+    std::array<double, kMmcmOutputs> inv_step;  // 1 / step
+  };
+
+  /// First position in vco-sorted order whose VCO may be >= `vco_mhz`
+  /// (never past the true lower bound; at most one bucket early).
+  std::size_t sorted_lower(double vco_mhz) const;
+  /// Scores candidate `i` and takes it on a lower error, or an equal one
+  /// at a lower scan index.
+  void consider(std::size_t i, const Query& query, Best& best);
+
+  double fin_mhz_;
+  MmcmLimits limits_;
+  std::vector<Candidate> table_;       // distinct VCOs, in scan order
+  std::vector<std::uint32_t> sorted_;  // table_ indices by ascending VCO
+  std::vector<double> sorted_vco_;     // table_[sorted_[p]].vco_mhz
+  std::vector<std::uint32_t> bucket_;  // first sorted position per bucket
+  double bucket_lo_mhz_ = 0.0;
+  double bucket_width_mhz_ = 1.0;
+  double bucket_inv_width_ = 1.0;
+  std::vector<std::uint32_t> visited_;  // per-candidate call stamp
+  std::uint32_t call_ = 0;
+  std::uint64_t evaluations_ = 0;
+};
 
 }  // namespace rftc::clk

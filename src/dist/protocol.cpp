@@ -13,7 +13,7 @@
 #include <stdexcept>
 
 #include "obs/json.hpp"
-#include "util/crc32.hpp"
+#include "util/wire.hpp"
 
 namespace rftc::dist {
 
@@ -253,9 +253,13 @@ bool shard_complete(const ShardRange& shard, const std::string& acc_path,
     if (done.shard.index != shard.index || done.shard.t0 != shard.t0 ||
         done.shard.t1 != shard.t1)
       return false;
-    const std::string blob = read_file(acc_path);
-    return blob.size() == done.acc_bytes &&
-           util::crc32(blob.data(), blob.size()) == done.acc_crc;
+    const std::string text = read_file(acc_path);
+    const std::span<const unsigned char> blob(
+        reinterpret_cast<const unsigned char*>(text.data()), text.size());
+    // The manifest names this exact snapshot by its seal, and the seal
+    // must still match the body.
+    return blob.size() == done.acc_bytes && blob.size() >= 4 &&
+           wire::stored_seal(blob) == done.acc_crc && wire::seal_valid(blob);
   } catch (const std::exception&) {
     return false;
   }

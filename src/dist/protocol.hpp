@@ -105,6 +105,8 @@ struct ShardTask {
 struct ShardDone {
   ShardRange shard;
   std::uint64_t acc_bytes = 0;
+  /// The snapshot's trailing wire seal (CRC-32 of its body), which names
+  /// this exact snapshot.
   std::uint32_t acc_crc = 0;
 };
 
@@ -118,9 +120,10 @@ std::string done_to_json(const ShardDone& done);
 ShardDone done_from_json(std::string_view text);
 
 /// True when `done_path` parses, matches `shard`, and the .acc snapshot at
-/// `acc_path` has exactly the recorded size and CRC-32 — i.e. the shard
-/// survived whatever killed its worker and can be reused on resume.  Any
-/// missing/corrupt/mismatched file is simply "not complete".
+/// `acc_path` has exactly the recorded size, ends with the recorded seal,
+/// and that seal matches its body — i.e. the shard survived whatever killed
+/// its worker and can be reused on resume.  Any missing, corrupt, stale or
+/// foreign (e.g. another shard's) snapshot is simply "not complete".
 bool shard_complete(const ShardRange& shard, const std::string& acc_path,
                     const std::string& done_path);
 

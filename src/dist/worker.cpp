@@ -14,9 +14,9 @@
 #include "dist/protocol.hpp"
 #include "obs/log.hpp"
 #include "trace/trace_store.hpp"
-#include "util/crc32.hpp"
 #include "util/env.hpp"
 #include "util/stats.hpp"
+#include "util/wire.hpp"
 
 namespace rftc::dist {
 
@@ -80,7 +80,9 @@ void run_worker_task(const std::string& task_path) {
   ShardDone done;
   done.shard = task.shard;
   done.acc_bytes = blob.size();
-  done.acc_crc = util::crc32(blob.data(), blob.size());
+  // The snapshot's own seal identifies it; a CRC over the sealed blob
+  // would be the constant CRC-32 residue for every snapshot.
+  done.acc_crc = wire::stored_seal(blob);
   // Ordering is the durability contract: the done manifest only exists once
   // the snapshot it describes is fully on disk, so shard_complete() can
   // never endorse a torn snapshot.

@@ -223,11 +223,17 @@ TraceSet acquire_random_parallel(const CaptureShardFactory& factory,
                          {"count", static_cast<double>(e - b)});
         return set;
       },
-      [](std::optional<TraceSet>& acc, std::optional<TraceSet>&& part) {
-        if (!acc)
-          acc = std::move(part);
-        else
-          acc->append(*part);
+      [n](std::optional<TraceSet>& acc, std::optional<TraceSet>&& part) {
+        // Sized once for the whole campaign.  Growing from shard 0's buffer
+        // copies it twice and frees a chain of doubling blocks; whether a
+        // later allocation of the same total size fits into that chain
+        // then hangs on a few bytes of unrelated heap traffic, and with it
+        // the process's peak RSS.
+        if (!acc) {
+          acc.emplace(part->samples());
+          acc->reserve(n);
+        }
+        acc->append(*part);
       });
   return std::move(*merged);
 }
@@ -277,13 +283,17 @@ TvlaCapture acquire_tvla_parallel(const CaptureShardFactory& factory,
                          {"pairs", static_cast<double>(e - b)});
         return cap;
       },
-      [](std::optional<TvlaCapture>& acc, std::optional<TvlaCapture>&& part) {
+      [n_per_population](std::optional<TvlaCapture>& acc,
+                         std::optional<TvlaCapture>&& part) {
+        // Sized once, as in acquire_random_parallel.
         if (!acc) {
-          acc = std::move(part);
-        } else {
-          acc->fixed.append(part->fixed);
-          acc->random.append(part->random);
+          acc.emplace(TvlaCapture{TraceSet(part->fixed.samples()),
+                                  TraceSet(part->random.samples())});
+          acc->fixed.reserve(n_per_population);
+          acc->random.reserve(n_per_population);
         }
+        acc->fixed.append(part->fixed);
+        acc->random.append(part->random);
       });
   return std::move(*merged);
 }

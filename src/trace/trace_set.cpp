@@ -57,6 +57,7 @@ TraceSet TraceSet::downsampled(std::size_t factor) const {
   if (out_samples == 0)
     throw std::invalid_argument("TraceSet::downsampled: factor too large");
   TraceSet out(out_samples);
+  out.reserve(size());
   std::vector<float> buf(out_samples);
   for (std::size_t i = 0; i < size(); ++i) {
     const auto t = trace(i);

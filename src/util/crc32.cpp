@@ -8,17 +8,29 @@ namespace {
 
 constexpr std::uint32_t kPoly = 0xEDB88320u;
 
-constexpr std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> t{};
+/// Slice-by-8 tables: kTables[0] is the classic byte table; kTables[k][i]
+/// is the CRC contribution of byte i followed by k zero bytes, so eight
+/// lookups advance the CRC by eight bytes at once.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1u) ? kPoly ^ (c >> 1) : c >> 1;
-    t[i] = c;
+    t[0][i] = c;
   }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
   return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kTable = make_table();
+constexpr auto kTables = make_tables();
+
+/// Little-endian 32-bit load (a single mov on little-endian hosts).
+inline std::uint32_t load_le32(const unsigned char* p) {
+  return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+         std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
+}
 
 }  // namespace
 
@@ -26,8 +38,15 @@ std::uint32_t crc32_update(std::uint32_t crc, const void* data,
                            std::size_t len) {
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i)
-    c = kTable[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+        kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+        kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+        kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) c = kTables[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

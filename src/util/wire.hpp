@@ -53,6 +53,23 @@ inline void seal(std::vector<unsigned char>& out) {
   put_u32(out, util::crc32(out.data(), out.size()));
 }
 
+/// The trailing CRC-32 that seal() wrote (read, not recomputed).  The blob
+/// must be at least 4 bytes long.
+inline std::uint32_t stored_seal(std::span<const unsigned char> blob) {
+  const std::size_t body = blob.size() - 4;
+  std::uint32_t stored = 0;
+  for (int i = 0; i < 4; ++i)
+    stored |= std::uint32_t{blob[body + static_cast<std::size_t>(i)]}
+              << (8 * i);
+  return stored;
+}
+
+/// True when the blob ends with a valid seal over the bytes before it.
+inline bool seal_valid(std::span<const unsigned char> blob) {
+  return blob.size() >= 4 &&
+         util::crc32(blob.data(), blob.size() - 4) == stored_seal(blob);
+}
+
 /// Strict sequential reader over a sealed blob.  Every accessor
 /// bounds-checks and throws std::runtime_error on truncation; check_crc()
 /// validates the trailing CRC-32 before any field is trusted.
@@ -65,14 +82,8 @@ class Reader {
   /// Call first: a blob that fails here must not be parsed at all.
   void check_crc() {
     if (blob_.size() < 4) fail("truncated (shorter than its CRC)");
-    const std::size_t body = blob_.size() - 4;
-    std::uint32_t stored = 0;
-    for (int i = 0; i < 4; ++i)
-      stored |= std::uint32_t{blob_[body + static_cast<std::size_t>(i)]}
-                << (8 * i);
-    if (util::crc32(blob_.data(), body) != stored)
-      fail("CRC mismatch (corrupt payload)");
-    blob_ = blob_.subspan(0, body);
+    if (!seal_valid(blob_)) fail("CRC mismatch (corrupt payload)");
+    blob_ = blob_.subspan(0, blob_.size() - 4);
   }
 
   void expect_magic(const char (&magic)[9]) {

@@ -26,9 +26,14 @@
 #include "trace/acquisition.hpp"
 #include "trace/trace_store.hpp"
 #include "util/stats.hpp"
+#include "util/wire.hpp"
+#include "temp_dir.hpp"
 
 #ifndef RFTC_TESTS_WORKER_BIN
 #define RFTC_TESTS_WORKER_BIN "rftc-worker"
+#endif
+#ifndef RFTC_TESTS_CAMPAIGN_BIN
+#define RFTC_TESTS_CAMPAIGN_BIN "rftc-campaign"
 #endif
 
 namespace rftc::dist {
@@ -62,11 +67,7 @@ class EnvGuard {
 };
 
 std::string temp_dir(const char* tag) {
-  const auto p =
-      fs::temp_directory_path() / (std::string("rftc_dist_test_") + tag);
-  fs::remove_all(p);
-  fs::create_directories(p);
-  return p.string();
+  return test::fresh_temp_dir(std::string("dist_") + tag);
 }
 
 aes::Key test_key() {
@@ -535,6 +536,27 @@ TEST(DistWorker, ShardCompleteRejectsTamperedOrMismatchedManifests) {
   write_file_atomic(task.acc_path, flipped);
   EXPECT_FALSE(shard_complete(task.shard, task.acc_path, task.done_path));
 
+  // The manifest records the snapshot's own trailing seal, not a CRC over
+  // the sealed blob (which is the same CRC-32 residue for every snapshot).
+  const ShardDone done = done_from_json(read_file(task.done_path));
+  const std::span<const unsigned char> sealed(
+      reinterpret_cast<const unsigned char*>(acc.data()), acc.size());
+  EXPECT_EQ(done.acc_crc, wire::stored_seal(sealed));
+  EXPECT_NE(done.acc_crc, 0x2144DF1Cu);
+
+  // A validly sealed snapshot of the same size that is not the recorded
+  // one (a differently accumulated range) is not complete either.
+  ShardTask other = task;
+  other.shard = {2, 0, 30};
+  other.acc_path = dir + "/other.acc";
+  other.done_path = dir + "/other.done.json";
+  write_file_atomic(dir + "/other.task.json", task_to_json(other));
+  run_worker_task(dir + "/other.task.json");
+  const std::string foreign = read_file(other.acc_path);
+  ASSERT_EQ(foreign.size(), acc.size());
+  write_file_atomic(task.acc_path, foreign);
+  EXPECT_FALSE(shard_complete(task.shard, task.acc_path, task.done_path));
+
   // Restore and also corrupt the manifest side.
   write_file_atomic(task.acc_path, acc);
   ASSERT_TRUE(shard_complete(task.shard, task.acc_path, task.done_path));
@@ -623,6 +645,46 @@ TEST(DistCampaign, RerunReusesEveryCompletedShard) {
   EXPECT_EQ(second.worker_restarts, 0u);
   expect_attack_identical(second.attack, first.attack);
   fs::remove_all(dir);
+}
+
+/// Runs the real rftc-campaign CLI (attack_spec's campaign, two workers)
+/// over `dir`; returns its exit status.
+int run_campaign_cli(const std::string& dir) {
+  const Corpus& c = corpus();
+  const std::string cmd =
+      std::string("'") + RFTC_TESTS_CAMPAIGN_BIN + "' attack --store '" +
+      c.attack_store + "' --key " + key_to_hex(c.rk10) +
+      " --bytes 0,7 --checkpoints 150,400," + std::to_string(c.n_attack) +
+      " --engine batched --workers 2 --dir '" + dir + "' --worker '" +
+      RFTC_TESTS_WORKER_BIN + "' >/dev/null 2>&1";
+  return std::system(cmd.c_str());
+}
+
+TEST(DistCampaign, ForeignSnapshotIsRerunNotReused) {
+  const std::string clean = temp_dir("foreign_snapshot_clean");
+  const std::string dir = temp_dir("foreign_snapshot");
+  ASSERT_EQ(run_campaign_cli(clean), 0);
+  ASSERT_EQ(run_campaign_cli(dir), 0);
+
+  // Plant shard 1's snapshot over shard 0's: same size, validly sealed,
+  // but not the snapshot shard 0's manifest names.
+  const std::string acc0 = shard_stem(dir, 0) + ".acc";
+  const std::string acc1 = shard_stem(dir, 1) + ".acc";
+  ASSERT_EQ(read_file(acc0).size(), read_file(acc1).size());
+  fs::copy_file(acc1, acc0, fs::copy_options::overwrite_existing);
+  const ShardDone done0 =
+      done_from_json(read_file(shard_stem(dir, 0) + ".done.json"));
+  EXPECT_FALSE(
+      shard_complete(done0.shard, acc0, shard_stem(dir, 0) + ".done.json"));
+
+  // Resume: shard 0 re-runs, and the report is byte-identical to the
+  // untouched run's.
+  ASSERT_EQ(run_campaign_cli(dir), 0);
+  EXPECT_TRUE(read_file(acc0) == read_file(shard_stem(clean, 0) + ".acc"))
+      << "shard 0's snapshot was not recomputed";
+  EXPECT_EQ(read_file(dir + "/report.json"), read_file(clean + "/report.json"));
+  fs::remove_all(dir);
+  fs::remove_all(clean);
 }
 
 TEST(DistCampaign, RejectsDirectoryOfDifferentCampaign) {

@@ -24,15 +24,15 @@
 #include "obs/report_diff.hpp"
 #include "obs/run_manifest.hpp"
 #include "obs/sampler.hpp"
+#include "temp_dir.hpp"
 
 namespace rftc::obs {
 namespace {
 
 std::string temp_path(const char* tag) {
-  const auto p = std::filesystem::temp_directory_path() /
-                 (std::string("rftc_heartbeat_test_") + tag);
+  const std::string p = test::temp_path(std::string("heartbeat_") + tag);
   std::filesystem::remove_all(p);
-  return p.string();
+  return p;
 }
 
 std::vector<HeartbeatSnapshot> read_heartbeats(const std::string& path) {

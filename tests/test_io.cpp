@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "temp_dir.hpp"
+
 namespace rftc {
 namespace {
 
@@ -17,7 +19,7 @@ std::string read_all(const std::string& path) {
 }
 
 TEST(WriteCsv, RoundTripsSimpleTable) {
-  const std::string path = testing::TempDir() + "rftc_io_test.csv";
+  const std::string path = test::temp_path("io_test.csv");
   const std::vector<std::string> header = {"a", "b"};
   const std::vector<std::vector<double>> cols = {{1, 2, 3}, {4.5, 5.5, 6.5}};
   write_csv(path, header, cols);
@@ -29,7 +31,7 @@ TEST(WriteCsv, RoundTripsSimpleTable) {
 }
 
 TEST(WriteCsv, RejectsRaggedColumns) {
-  const std::string path = testing::TempDir() + "rftc_io_ragged.csv";
+  const std::string path = test::temp_path("io_ragged.csv");
   const std::vector<std::string> header = {"a", "b"};
   const std::vector<std::vector<double>> cols = {{1, 2}, {3}};
   EXPECT_THROW(write_csv(path, header, cols), std::runtime_error);

@@ -12,15 +12,15 @@
 
 #include "obs/json.hpp"
 #include "obs/log.hpp"
+#include "temp_dir.hpp"
 
 namespace rftc::obs::log {
 namespace {
 
 std::string temp_path(const char* tag) {
-  const auto p = std::filesystem::temp_directory_path() /
-                 (std::string("rftc_log_test_") + tag);
+  const std::string p = test::temp_path(std::string("log_") + tag);
   std::filesystem::remove_all(p);
-  return p.string();
+  return p;
 }
 
 std::vector<std::string> read_lines(const std::string& path) {

@@ -9,8 +9,6 @@
 // every header byte the CRC covers.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -24,6 +22,7 @@
 #include "pbt/generators.hpp"
 #include "pbt/pbt.hpp"
 #include "trace/trace_store.hpp"
+#include "temp_dir.hpp"
 
 namespace rftc {
 namespace {
@@ -83,9 +82,8 @@ std::vector<StoreCase> shrink_store_case(const StoreCase& c) {
 std::string case_path(const char* tag) {
   static int counter = 0;
   std::ostringstream os;
-  os << ::testing::TempDir() << "pbt_store_" << tag << "_" << ::getpid()
-     << "_" << counter++ << ".rtst";
-  return os.str();
+  os << "pbt_store_" << tag << "_" << counter++ << ".rtst";
+  return test::temp_path(os.str());
 }
 
 /// RAII deleter so property early-returns cannot leak scratch files.

@@ -18,15 +18,15 @@
 #include "obs/metrics.hpp"
 #include "obs/phase_timer.hpp"
 #include "obs/postmortem.hpp"
+#include "temp_dir.hpp"
 
 namespace rftc::obs {
 namespace {
 
 std::string temp_path(const char* tag) {
-  const auto p = std::filesystem::temp_directory_path() /
-                 (std::string("rftc_postmortem_test_") + tag);
+  const std::string p = test::temp_path(std::string("postmortem_") + tag);
   std::filesystem::remove_all(p);
-  return p.string();
+  return p;
 }
 
 json::Value parse_bundle(const std::string& path) {

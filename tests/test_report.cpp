@@ -13,6 +13,7 @@
 #include "obs/bench_report.hpp"
 #include "obs/report_diff.hpp"
 #include "obs/run_manifest.hpp"
+#include "temp_dir.hpp"
 
 namespace rftc::obs {
 namespace {
@@ -39,10 +40,9 @@ class BenchDirGuard {
 };
 
 std::string temp_dir(const char* tag) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   (std::string("rftc_report_test_") + tag);
+  const std::string dir = test::temp_path(std::string("report_") + tag);
   std::filesystem::remove_all(dir);
-  return dir.string();
+  return dir;
 }
 
 RunManifest sample_manifest() {

@@ -9,6 +9,7 @@
 #include "rftc/device.hpp"
 #include "sched/fixed_clock.hpp"
 #include "trace/acquisition.hpp"
+#include "temp_dir.hpp"
 
 namespace rftc::trace {
 namespace {
@@ -104,7 +105,7 @@ TEST(TraceSetPersistence, SaveLoadRoundTrips) {
   ct[15] = 0x22;
   set.add({1.5f, -2.0f, 3.25f}, pt, ct);
   set.add({4.0f, 5.0f, 6.0f}, ct, pt);
-  const std::string path = testing::TempDir() + "rftc_traces.rtrc";
+  const std::string path = test::temp_path("traces.rtrc");
   set.save(path);
   const TraceSet back = TraceSet::load(path);
   ASSERT_EQ(back.size(), 2u);
@@ -119,7 +120,7 @@ TEST(TraceSetPersistence, SaveLoadRoundTrips) {
 }
 
 TEST(TraceSetPersistence, LoadRejectsGarbage) {
-  const std::string path = testing::TempDir() + "rftc_garbage.rtrc";
+  const std::string path = test::temp_path("garbage.rtrc");
   {
     std::ofstream f(path, std::ios::binary);
     f << "not a trace file";
@@ -132,7 +133,7 @@ TEST(TraceSetPersistence, LoadRejectsGarbage) {
 TEST(TraceSetPersistence, LoadRejectsTruncated) {
   TraceSet set(64);
   set.add(std::vector<float>(64, 1.0f), aes::Block{}, aes::Block{});
-  const std::string path = testing::TempDir() + "rftc_trunc.rtrc";
+  const std::string path = test::temp_path("trunc.rtrc");
   set.save(path);
   // Truncate the file to half its size.
   std::ifstream in(path, std::ios::binary);
@@ -151,7 +152,7 @@ TEST(TraceSetPersistence, LoadRejectsImplausibleHeaderWithoutAllocating) {
   // file-size check (24 bytes on disk vs exabytes implied) instead of
   // driving a giant allocation; overflowing n*s products must not wrap
   // into a "plausible" expected size either.
-  const std::string path = testing::TempDir() + "rftc_huge.rtrc";
+  const std::string path = test::temp_path("huge.rtrc");
   {
     std::ofstream f(path, std::ios::binary);
     f.write("RTRC0001", 8);
@@ -169,7 +170,7 @@ TEST(TraceSetPersistence, LoadRejectsTrailingGarbage) {
   // re-write) and the set is rejected rather than silently half-read.
   TraceSet set(8);
   set.add(std::vector<float>(8, 2.5f), aes::Block{}, aes::Block{});
-  const std::string path = testing::TempDir() + "rftc_trailing.rtrc";
+  const std::string path = test::temp_path("trailing.rtrc");
   set.save(path);
   {
     std::ofstream f(path, std::ios::binary | std::ios::app);

@@ -21,15 +21,15 @@
 #include "sched/fixed_clock.hpp"
 #include "trace/acquisition.hpp"
 #include "util/parallel.hpp"
+#include "temp_dir.hpp"
 
 namespace rftc::trace {
 namespace {
 
 std::string temp_store(const char* tag) {
-  const auto p = std::filesystem::temp_directory_path() /
-                 (std::string("rftc_store_test_") + tag + ".rtst");
+  const std::string p = test::temp_path(std::string("store_") + tag + ".rtst");
   std::filesystem::remove(p);
-  return p.string();
+  return p;
 }
 
 aes::Key test_key() {
