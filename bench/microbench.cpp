@@ -164,7 +164,7 @@ void BM_DtwAlign(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(analysis::dtw_align(ref, tr, {.band = 16}));
 }
-BENCHMARK(BM_DtwAlign)->Arg(125)->Arg(250);
+BENCHMARK(BM_DtwAlign)->Arg(125)->Arg(250)->Arg(2000);
 
 void BM_Fft(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

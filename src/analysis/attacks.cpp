@@ -170,8 +170,9 @@ AttackOutcome run_attack_impl(const SegmentSource& src,
   AttackOutcome out;
   out.kind = params.kind;
 
-  // Preprocessing transforms are pure per-trace functions, so each tile of
-  // traces is transformed in parallel (disjoint feature rows) and then fed
+  // Preprocessing transforms are pure per-trace functions that write
+  // straight into their feature row, so each tile of traces is transformed
+  // in parallel (disjoint feature rows, no per-trace heap work) and then fed
   // to the engine serially in trace order — results are independent of the
   // thread count, the tile size and the segment boundaries.  Tiles never
   // straddle a checkpoint or a segment.
@@ -190,26 +191,16 @@ AttackOutcome run_attack_impl(const SegmentSource& src,
           switch (params.kind) {
             case AttackKind::kCpa:
               break;
-            case AttackKind::kDtwCpa: {
-              // Reused per worker thread, like the DP scratch inside the
-              // aligner itself — the campaign loop does no per-trace heap
-              // work for DTW.
-              thread_local std::vector<float> warped;
-              dtw_align_into(dtw_ref, tr, params.dtw, warped);
-              std::copy(warped.begin(), warped.end(), feat);
+            case AttackKind::kDtwCpa:
+              dtw_align_into(dtw_ref, tr, params.dtw,
+                             std::span<float>(feat, features));
               break;
-            }
-            case AttackKind::kPcaCpa: {
-              const std::vector<float> f = pca.project(tr);
-              std::copy(f.begin(), f.end(), feat);
+            case AttackKind::kPcaCpa:
+              pca.project_into(tr, std::span<float>(feat, features));
               break;
-            }
-            case AttackKind::kFftCpa: {
-              const auto mag = magnitude_spectrum(tr);
-              for (std::size_t k = 0; k < mag.size(); ++k)
-                feat[k] = static_cast<float>(mag[k]);
+            case AttackKind::kFftCpa:
+              magnitude_spectrum_into(tr, std::span<float>(feat, features));
               break;
-            }
             case AttackKind::kSwCpa: {
               const std::size_t w = std::max<std::size_t>(1, params.sw_window);
               const std::size_t s = std::max<std::size_t>(1, params.sw_stride);

@@ -50,7 +50,7 @@ struct AttackParams {
   /// defaults mirror practical elastic-alignment tooling: a moderate
   /// Sakoe-Chiba band and the P=1 slope constraint (without which the DP
   /// "aligns" the amplitude noise itself and launders the leakage away).
-  DtwParams dtw{.band = 8, .slope_constrained = true};
+  DtwParams dtw{.band = 8};
   std::size_t dtw_ref_traces = 200;
   /// Sliding-window CPA: window length and stride, in (downsampled)
   /// samples.  A window of ~1 round period absorbs the per-round jitter a

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
+#include "simd/simd.hpp"
 
 namespace rftc::analysis {
 
@@ -43,8 +44,6 @@ struct Band {
   }
 };
 
-enum Move : std::uint8_t { kDiag = 0, kUp = 1, kLeft = 2, kNone = 3 };
-
 std::size_t effective_band(std::size_t n, std::size_t m,
                            const DtwParams& params) {
   return params.band == 0
@@ -58,12 +57,11 @@ std::size_t effective_band(std::size_t n, std::size_t m,
 // loop).  DTW never calls itself reentrantly, so a single workspace per
 // thread suffices.
 struct Workspace {
-  std::vector<double> prev, cur;       // rolling DP rows
-  std::vector<std::uint8_t> moves;     // banded align move matrix
-  std::vector<std::size_t> row_lo;     // per-row band start (backtrack)
-  std::vector<double> dense;           // P=1 dense DP values
-  std::vector<std::uint8_t> step;      // P=1 step provenance
-  std::vector<double> sum;             // backtrack accumulators
+  std::vector<double> prev, cur;          // dtw_distance rolling rows
+  std::vector<double> rows, costs;        // align: rolling D and cost rows
+  std::vector<std::uint8_t> moves;        // align: n x band-width steps
+  std::vector<std::size_t> row_lo, row_hi;  // align: per-row band bounds
+  std::vector<double> sum;                // backtrack accumulators
   std::vector<std::uint32_t> cnt;
 };
 
@@ -167,65 +165,115 @@ double dtw_distance(std::span<const double> a, std::span<const double> b,
 
 namespace {
 
+/// Fills lo[i] = band.lo(i) and hi[i] = band.hi(i) for i = 1..n, stepping
+/// the two floor divisions by m per row (quotient and remainder carried)
+/// instead of dividing per row.
+void band_bounds(const Band& band, std::size_t* lo, std::size_t* hi) {
+  const std::size_t n = band.n, m = band.m, W = band.W();
+  const std::size_t qm = m / n, rm = m % n;
+  const auto step = [&](std::size_t& q, std::size_t& r) {
+    q += qm;
+    r += rm;
+    if (r >= n) {
+      r -= n;
+      ++q;
+    }
+  };
+  // hi(i) = min(m, floor((i*m + W) / n)).
+  std::size_t qh = (m + W) / n, rh = (m + W) % n;
+  // lo(i) = 1 while i*m <= W, then max(1, floor((i*m - W + n - 1) / n)).
+  std::size_t ql = 0, rl = 0;
+  bool lo_started = false;
+  for (std::size_t i = 1; i <= n; ++i) {
+    hi[i] = std::min(m, qh);
+    step(qh, rh);
+    const std::size_t im = i * m;
+    if (im <= W) {
+      lo[i] = 1;
+      continue;
+    }
+    if (!lo_started) {
+      const std::size_t num = im - W + n - 1;
+      ql = num / n;
+      rl = num % n;
+      lo_started = true;
+    }
+    lo[i] = std::max<std::size_t>(1, ql);
+    step(ql, rl);
+  }
+}
+
 /// Slope-constrained alignment (Sakoe–Chiba P = 1 step pattern): the path
 /// is built from steps (1,1), (1,2) and (2,1), so each reference sample
 /// matches between half and two trace samples.
+///
+/// Banded rolling-row DP.  The steps read rows i-1 and i-2 only, so three
+/// column-indexed rows roll through the sweep and each row is one
+/// independent-lane simd::dtw_p1_row call.  The result is bit-identical to
+/// the textbook dense (n+1) x (m+1) recurrence (tests/dtw_p1_oracle.hpp):
+/// the kernel evaluates the same per-cell expressions in the same
+/// association and candidate order with the same strict-< rule, and a
+/// candidate whose predecessor is +inf never wins (+inf plus a cost is
+/// +inf or NaN), which is what the dense code's explicit "< inf" guards
+/// and its j >= 2 / i >= 2 checks express.  Every cell a row reads is
+/// either written by the sweep or +inf, exactly as in the dense matrix:
+/// rows carry kPad cells of +inf padding before column 0, and after each
+/// row the stale cells the next two rows read left of its band are reset.
 void dtw_align_p1(std::span<const double> reference,
                   std::span<const float> trace, const DtwParams& params,
-                  std::vector<float>& out) {
+                  std::span<float> out) {
   const std::size_t n = reference.size(), m = trace.size();
-  Band band{n, m, effective_band(n, m, params)};
+  const Band band{n, m, effective_band(n, m, params)};
+  const std::size_t bw = band.width();
 
-  auto cost = [&](std::size_t i, std::size_t j) {
-    const double d = reference[i - 1] - static_cast<double>(trace[j - 1]);
-    return d * d;
-  };
-  auto in_band = [&](std::size_t i, std::size_t j) {
-    return j >= band.lo(i) && j <= band.hi(i);
-  };
-
-  // Full (n+1) x (m+1) DP with step provenance.  Traces here are the
-  // downsampled attack representations (a few hundred samples), so the
-  // dense matrix is cheap and the code stays simple.
-  const double inf = kInf;
   Workspace& ws = workspace();
-  ws.dense.assign((n + 1) * (m + 1), inf);
-  ws.step.assign((n + 1) * (m + 1), 255);
-  std::vector<double>& d = ws.dense;
-  std::vector<std::uint8_t>& step = ws.step;
-  auto at = [&](std::size_t i, std::size_t j) -> double& {
-    return d[i * (m + 1) + j];
-  };
-  at(0, 0) = 0.0;
+  ws.row_lo.resize(n + 1);
+  ws.row_hi.resize(n + 1);
+  std::size_t* lo_of = ws.row_lo.data();
+  std::size_t* hi_of = ws.row_hi.data();
+  band_bounds(band, lo_of, hi_of);
+
+  // Column j of a row lives at index j + kPad; the padding makes the
+  // (1,2) step's read of column j - 2 = -1 a +inf cell.
+  constexpr std::size_t kPad = 2;
+  const std::size_t stride = m + 1 + kPad;
+  ws.rows.assign(3 * stride, kInf);
+  ws.costs.assign(2 * stride, 0.0);
+  double* d0 = ws.rows.data() + kPad;  // row i (being written)
+  double* d1 = d0 + stride;            // row i-1
+  double* d2 = d1 + stride;            // row i-2
+  double* c0 = ws.costs.data() + kPad;  // costs of row i
+  double* c1 = c0 + stride;             // costs of row i-1
+  d1[0] = 0.0;  // D(0, 0) anchors the path start
+  // Every cell of [lo(i), hi(i)] is written, so the move matrix needs no
+  // initialisation; the backtrack never reads outside a row's band.
+  if (ws.moves.size() < n * bw) ws.moves.resize(n * bw);
+  std::uint8_t* moves = ws.moves.data();
+
   for (std::size_t i = 1; i <= n; ++i) {
-    for (std::size_t j = band.lo(i); j <= band.hi(i); ++j) {
-      if (!in_band(i, j)) continue;
-      const double c = cost(i, j);
-      double best = inf;
-      std::uint8_t how = 255;
-      if (at(i - 1, j - 1) < inf && at(i - 1, j - 1) + c < best) {
-        best = at(i - 1, j - 1) + c;
-        how = 0;  // (1,1)
-      }
-      if (j >= 2 && at(i - 1, j - 2) < inf) {
-        const double v = at(i - 1, j - 2) + cost(i, j - 1) + c;
-        if (v < best) {
-          best = v;
-          how = 1;  // (1,2): one ref sample consumes two trace samples
-        }
-      }
-      if (i >= 2 && at(i - 2, j - 1) < inf) {
-        const double v = at(i - 2, j - 1) + cost(i - 1, j) + c;
-        if (v < best) {
-          best = v;
-          how = 2;  // (2,1): two ref samples share one trace sample
-        }
-      }
-      if (how != 255) {
-        at(i, j) = best;
-        step[i * (m + 1) + j] = how;
-      }
+    const std::size_t lo = lo_of[i], hi = hi_of[i];
+    // Costs of row i: the (1,2) step reads column lo - 1, and row i + 1's
+    // (2,1) step reads this row's costs up to hi(i + 1).
+    const double ri = reference[i - 1];
+    for (std::size_t j = std::max<std::size_t>(1, lo - 1),
+                     end = hi_of[std::min(i + 1, n)];
+         j <= end; ++j) {
+      const double d = ri - static_cast<double>(trace[j - 1]);
+      c0[j] = d * d;
     }
+    simd::dtw_p1_row(c0 + lo, c1 + lo, d1 + lo - 1, d2 + lo - 1, d0 + lo,
+                     moves + (i - 1) * bw, hi - lo + 1);
+    // Rows i + 1 and i + 2 read this row over [lo(i+1) - 2, hi(i+2) - 1].
+    // The two cells left of the band may hold row i - 3's values: reset
+    // them.  Band bounds never decrease, so no earlier row of this buffer
+    // wrote right of hi, and those cells are still +inf from the fill.
+    d0[static_cast<std::ptrdiff_t>(lo) - 2] = kInf;
+    d0[static_cast<std::ptrdiff_t>(lo) - 1] = kInf;
+    double* spare = d2;
+    d2 = d1;
+    d1 = d0;
+    d0 = spare;
+    std::swap(c0, c1);
   }
 
   // Backtrack, accumulating matched trace samples per reference index.
@@ -233,9 +281,7 @@ void dtw_align_p1(std::span<const double> reference,
   ws.cnt.assign(n, 0);
   std::vector<double>& sum = ws.sum;
   std::vector<std::uint32_t>& cnt = ws.cnt;
-  std::size_t i = n, j = m;
-  out.resize(n);
-  if (at(n, m) >= inf) {
+  if (d1[m] >= kInf) {
     // End point unreachable under the slope constraint (extreme stretch):
     // return the trace unwarped (resampled if lengths differ) — the
     // alignment honestly failed, as it does on hardware.
@@ -243,10 +289,15 @@ void dtw_align_p1(std::span<const double> reference,
       out[k] = trace[std::min(m - 1, k * m / n)];
     return;
   }
+  const auto step_at = [&](std::size_t i, std::size_t j) -> std::uint8_t {
+    const std::size_t lo = lo_of[i];
+    return j >= lo && j <= hi_of[i] ? moves[(i - 1) * bw + (j - lo)] : 255;
+  };
+  std::size_t i = n, j = m;
   while (i >= 1 && j >= 1) {
     sum[i - 1] += static_cast<double>(trace[j - 1]);
     ++cnt[i - 1];
-    const std::uint8_t how = step[i * (m + 1) + j];
+    const std::uint8_t how = step_at(i, j);
     if (i == 1 && j == 1) break;
     switch (how) {
       case 0:
@@ -278,114 +329,28 @@ void dtw_align_p1(std::span<const double> reference,
                     : static_cast<float>(reference[k]);
 }
 
-void dtw_align_banded(std::span<const double> reference,
-                      std::span<const float> trace, const DtwParams& params,
-                      std::vector<float>& out) {
-  const std::size_t n = reference.size(), m = trace.size();
-  Band band{n, m, effective_band(n, m, params)};
-  const std::size_t bw = band.width();
-
-  // Banded DP with full move matrix for backtracking.
-  Workspace& ws = workspace();
-  ws.prev.assign(m + 1, kInf);
-  ws.cur.assign(m + 1, kInf);
-  ws.moves.assign(n * bw, kNone);
-  ws.row_lo.assign(n + 1, 0);
-  double* prev = ws.prev.data();
-  double* cur = ws.cur.data();
-  std::vector<std::uint8_t>& moves = ws.moves;
-  std::vector<std::size_t>& row_lo = ws.row_lo;
-  prev[0] = 0.0;
-
-  for (std::size_t i = 1; i <= n; ++i) {
-    const std::size_t lo = band.lo(i), hi = band.hi(i);
-    // Same stale-cell guard as dtw_distance: clear through the next row's
-    // band end so the rolling prev reads only written-or-cleared cells.
-    const std::size_t clear_hi = i < n ? std::max(hi, band.hi(i + 1)) : hi;
-    std::fill(cur + (lo - 1), cur + clear_hi + 1, kInf);
-    row_lo[i] = lo;
-    const double ri = reference[i - 1];
-    for (std::size_t j = lo; j <= hi; ++j) {
-      const double d = ri - static_cast<double>(trace[j - 1]);
-      const double cost = d * d;
-      double best = kInf;
-      Move mv = kNone;
-      const bool start = (i == 1 && j == 1);
-      if (start) {
-        best = 0.0;
-        mv = kDiag;  // anchors to (0,0)
-      } else {
-        if (prev[j - 1] < best) { best = prev[j - 1]; mv = kDiag; }
-        if (prev[j] < best) { best = prev[j]; mv = kUp; }
-        if (cur[j - 1] < best) { best = cur[j - 1]; mv = kLeft; }
-      }
-      if (mv == kNone) continue;
-      cur[j] = cost + best;
-      moves[(i - 1) * bw + (j - lo)] = mv;
-    }
-    std::swap(prev, cur);
-  }
-
-  // Backtrack from (n, m); if (n, m) fell outside the band the alignment is
-  // degenerate — fall back to the band's last reachable column.
-  std::size_t i = n, j = m;
-  if (!(band.lo(n) <= m && m <= band.hi(n)) || prev[m] == kInf) j = band.hi(n);
-
-  ws.sum.assign(n, 0.0);
-  ws.cnt.assign(n, 0);
-  std::vector<double>& sum = ws.sum;
-  std::vector<std::uint32_t>& cnt = ws.cnt;
-  while (true) {
-    sum[i - 1] += static_cast<double>(trace[j - 1]);
-    ++cnt[i - 1];
-    if (i == 1 && j == 1) break;
-    const std::size_t lo = row_lo[i];
-    Move mv = kNone;
-    if (j >= lo && j <= lo + bw - 1)
-      mv = static_cast<Move>(moves[(i - 1) * bw + (j - lo)]);
-    switch (mv) {
-      case kDiag:
-        if (i > 1) --i;
-        if (j > 1) --j;
-        break;
-      case kUp:
-        if (i > 1) --i; else --j;
-        break;
-      case kLeft:
-        if (j > 1) --j; else --i;
-        break;
-      case kNone:
-      default:
-        // Escape hatch for out-of-band states: walk the diagonal.
-        if (i > 1) --i;
-        if (j > 1) --j;
-        if (i == 1 && j == 1) break;
-        break;
-    }
-  }
-
-  out.resize(n);
-  for (std::size_t k = 0; k < n; ++k)
-    out[k] = cnt[k] ? static_cast<float>(sum[k] / cnt[k])
-                    : static_cast<float>(reference[k]);
-}
-
 }  // namespace
 
 void dtw_align_into(std::span<const double> reference,
                     std::span<const float> trace, const DtwParams& params,
-                    std::vector<float>& out) {
+                    std::span<float> out) {
   const std::size_t n = reference.size(), m = trace.size();
   if (n == 0 || m == 0) throw std::invalid_argument("dtw_align: empty");
+  if (out.size() != n)
+    throw std::invalid_argument("dtw_align: output length != reference length");
   // Tally every alignment so heartbeat readers can see DTW progress (the
   // banded DP dominates the dtw phase; one counter bump per call is noise).
   static obs::Counter& alignments =
       obs::Registry::global().counter("analysis.dtw.alignments");
   alignments.inc();
-  if (params.slope_constrained)
-    dtw_align_p1(reference, trace, params, out);
-  else
-    dtw_align_banded(reference, trace, params, out);
+  dtw_align_p1(reference, trace, params, out);
+}
+
+void dtw_align_into(std::span<const double> reference,
+                    std::span<const float> trace, const DtwParams& params,
+                    std::vector<float>& out) {
+  out.resize(reference.size());
+  dtw_align_into(reference, trace, params, std::span<float>(out));
 }
 
 std::vector<float> dtw_align(std::span<const double> reference,

@@ -14,9 +14,13 @@
 // then prunes DP cells above the cutoff and abandons as soon as a whole
 // row exceeds it.  An abandoned call returns the `kDtwAbandoned` sentinel;
 // a returned finite value <= max_distance is exactly the unpruned banded
-// distance.  All DP scratch (rolling rows, move matrices, backtrack
-// accumulators) lives in per-thread reusable workspaces, so steady-state
-// calls allocate nothing.
+// distance.
+//
+// Both DPs sweep only the band, over rolling rows: O(n·w) time and O(m)
+// DP memory per call, plus an n x band-width move matrix for the
+// alignment backtrack.  All DP scratch (rolling rows, move matrix,
+// backtrack accumulators) lives in per-thread reusable workspaces, so
+// steady-state calls allocate nothing.
 #pragma once
 
 #include <limits>
@@ -36,16 +40,6 @@ struct DtwParams {
   /// Sakoe–Chiba band half-width in samples.  0 selects the unconstrained
   /// full O(n^2) DP.
   std::size_t band = 16;
-  /// Enforce the Sakoe–Chiba P=1 slope constraint in dtw_align: the path
-  /// may locally stretch or compress time by at most 2x.  Unconstrained
-  /// warping on smooth band-limited traces "aligns" the amplitude noise
-  /// itself and launders the leakage out of the traces; every practical
-  /// elastic-alignment implementation constrains the slope for exactly
-  /// this reason.  It also bounds how much frequency randomization the
-  /// alignment can undo (a 12 MHz round cannot be matched to a 48 MHz
-  /// reference), which is the mechanism behind the paper's observation
-  /// that DTW fails once the frequency spread is large (§8).
-  bool slope_constrained = true;
   /// Early-abandon cutoff for dtw_distance: when finite, the call returns
   /// kDtwAbandoned as soon as the distance provably exceeds this value
   /// (LB_Kim prefilter, per-cell pruning, row-minimum abandon).  The
@@ -61,19 +55,36 @@ struct DtwParams {
 double dtw_distance(std::span<const double> a, std::span<const double> b,
                     const DtwParams& params = {});
 
-/// Warp `trace` onto the time base of `reference`: returns a vector of
-/// reference length where each entry is the mean of the trace samples the
-/// optimal DTW path matches to that reference sample.
-std::vector<float> dtw_align(std::span<const double> reference,
-                             std::span<const float> trace,
-                             const DtwParams& params = {});
+/// Warp `trace` onto the time base of `reference`: writes into `out`
+/// (which must have reference length) the mean of the trace samples the
+/// optimal DTW path matches to each reference sample.  When the path end
+/// is unreachable, `out` is the trace resampled to reference length.
+///
+/// The path obeys the Sakoe–Chiba P=1 slope constraint, steps (1,1), (1,2)
+/// and (2,1): it may locally stretch or compress time by at most 2x.
+/// Unconstrained warping on smooth band-limited traces "aligns" the
+/// amplitude noise itself and launders the leakage out of the traces;
+/// every practical elastic-alignment implementation constrains the slope
+/// for exactly this reason.  It also bounds how much frequency
+/// randomization the alignment can undo (a 12 MHz round cannot be matched
+/// to a 48 MHz reference), which is the mechanism behind the paper's
+/// observation that DTW fails once the frequency spread is large (§8).
+///
+/// The DP scratch is per-thread and reused, so campaign loops that write
+/// straight into their feature rows do no per-call heap work.
+void dtw_align_into(std::span<const double> reference,
+                    std::span<const float> trace, const DtwParams& params,
+                    std::span<float> out);
 
-/// Allocation-free dtw_align: writes the warped trace into `out` (resized
-/// to reference length; capacity is reused across calls).  Campaign loops
-/// call this once per trace with a long-lived `out`, and the DP scratch is
-/// per-thread and reused, so the hot loop does no per-call heap work.
+/// dtw_align_into into a vector resized to reference length (its capacity
+/// is reused across calls).
 void dtw_align_into(std::span<const double> reference,
                     std::span<const float> trace, const DtwParams& params,
                     std::vector<float>& out);
+
+/// dtw_align_into into a fresh vector.
+std::vector<float> dtw_align(std::span<const double> reference,
+                             std::span<const float> trace,
+                             const DtwParams& params = {});
 
 }  // namespace rftc::analysis

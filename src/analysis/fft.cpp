@@ -49,20 +49,41 @@ void fft_inplace(std::vector<std::complex<double>>& data, bool inverse) {
   }
 }
 
-std::vector<double> magnitude_spectrum(std::span<const float> signal) {
+namespace {
+
+/// FFT of `signal` zero-padded to next_pow2(size), in a per-thread buffer
+/// that stays valid until the thread's next call.
+const std::vector<std::complex<double>>& padded_fft(
+    std::span<const float> signal) {
   // An empty signal used to fall through to a 1-point FFT and come back as
   // an empty spectrum — a silent nonsense value for any downstream feature
   // extractor.  Reject it loudly instead.
   if (signal.empty())
     throw std::invalid_argument("magnitude_spectrum: empty signal");
-  const std::size_t n = next_pow2(signal.size());
-  std::vector<std::complex<double>> buf(n, {0.0, 0.0});
+  thread_local std::vector<std::complex<double>> buf;
+  buf.assign(next_pow2(signal.size()), {0.0, 0.0});
   for (std::size_t i = 0; i < signal.size(); ++i)
     buf[i] = {static_cast<double>(signal[i]), 0.0};
   fft_inplace(buf);
-  std::vector<double> mag(n / 2);
-  for (std::size_t i = 0; i < n / 2; ++i) mag[i] = std::abs(buf[i]);
+  return buf;
+}
+
+}  // namespace
+
+std::vector<double> magnitude_spectrum(std::span<const float> signal) {
+  const auto& buf = padded_fft(signal);
+  std::vector<double> mag(buf.size() / 2);
+  for (std::size_t i = 0; i < mag.size(); ++i) mag[i] = std::abs(buf[i]);
   return mag;
+}
+
+void magnitude_spectrum_into(std::span<const float> signal,
+                             std::span<float> out) {
+  if (out.size() != next_pow2(signal.size()) / 2)
+    throw std::invalid_argument("magnitude_spectrum: output length mismatch");
+  const auto& buf = padded_fft(signal);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = static_cast<float>(std::abs(buf[i]));
 }
 
 }  // namespace rftc::analysis

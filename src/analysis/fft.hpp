@@ -20,6 +20,12 @@ void fft_inplace(std::vector<std::complex<double>>& data, bool inverse = false);
 /// empty signal.
 std::vector<double> magnitude_spectrum(std::span<const float> signal);
 
+/// magnitude_spectrum rounded to float, written into `out`, which must have
+/// next_pow2(signal.size()) / 2 entries.  The padded transform runs in a
+/// per-thread scratch buffer, so steady-state calls allocate nothing.
+void magnitude_spectrum_into(std::span<const float> signal,
+                             std::span<float> out);
+
 /// Smallest power of two >= n; next_pow2(0) == 1.
 std::size_t next_pow2(std::size_t n);
 

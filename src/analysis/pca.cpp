@@ -18,10 +18,10 @@ constexpr std::size_t kRowGrain = 8;
 
 }  // namespace
 
-std::vector<float> PcaBasis::project(std::span<const float> trace) const {
-  if (trace.size() != mean.size())
+void PcaBasis::project_into(std::span<const float> trace,
+                            std::span<float> out) const {
+  if (trace.size() != mean.size() || out.size() != components.size())
     throw std::invalid_argument("PcaBasis::project: dimension mismatch");
-  std::vector<float> out(components.size());
   for (std::size_t c = 0; c < components.size(); ++c) {
     double acc = 0.0;
     const auto& comp = components[c];
@@ -29,6 +29,11 @@ std::vector<float> PcaBasis::project(std::span<const float> trace) const {
       acc += (static_cast<double>(trace[s]) - mean[s]) * comp[s];
     out[c] = static_cast<float>(acc);
   }
+}
+
+std::vector<float> PcaBasis::project(std::span<const float> trace) const {
+  std::vector<float> out(components.size());
+  project_into(trace, out);
   return out;
 }
 

@@ -20,7 +20,11 @@ struct PcaBasis {
 
   std::size_t dims() const { return components.size(); }
 
-  /// Project one trace onto the basis (k features).
+  /// Project one trace onto the basis: out[c] is the dot product of the
+  /// centred trace with component c (out must have dims() entries).
+  void project_into(std::span<const float> trace, std::span<float> out) const;
+
+  /// project_into a fresh vector of dims() features.
   std::vector<float> project(std::span<const float> trace) const;
 };
 

@@ -13,6 +13,7 @@
 #include <stdexcept>
 
 #include "obs/json.hpp"
+#include "util/io.hpp"
 #include "util/wire.hpp"
 
 namespace rftc::dist {
@@ -302,16 +303,7 @@ void write_file_atomic(const std::string& path, std::string_view data) {
     bad("fsync failed on " + tmp + ": " + std::strerror(err));
   }
   ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0)
-    bad("rename " + tmp + " -> " + path + " failed: " + std::strerror(errno));
-  // The rename itself must survive a crash: fsync the parent directory.
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
+  publish_file(tmp, path);
 }
 
 namespace {

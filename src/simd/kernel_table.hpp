@@ -31,6 +31,8 @@ struct KernelTable {
                        std::size_t);
   void (*hyp_sums)(const std::uint8_t*, std::int64_t*, std::int64_t*,
                    std::size_t);
+  void (*dtw_p1_row)(const double*, const double*, const double*,
+                     const double*, double*, std::uint8_t*, std::size_t);
 };
 
 /// Portable reference backend (simd.cpp).

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/log.hpp"
@@ -159,6 +160,33 @@ void s_hyp_sums(const std::uint8_t* row, std::int64_t* sh, std::int64_t* sh2,
   }
 }
 
+void s_dtw_p1_row(const double* cost, const double* cost_up, const double* d1,
+                  const double* d2, double* out, std::uint8_t* step,
+                  std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const double c = cost[k];
+    double best = std::numeric_limits<double>::infinity();
+    std::uint8_t how = 255;
+    const double v0 = d1[k] + c;
+    if (v0 < best) {
+      best = v0;
+      how = 0;
+    }
+    const double v1 = (d1[k - 1] + cost[k - 1]) + c;
+    if (v1 < best) {
+      best = v1;
+      how = 1;
+    }
+    const double v2 = (d2[k] + cost_up[k]) + c;
+    if (v2 < best) {
+      best = v2;
+      how = 2;
+    }
+    out[k] = best;
+    step[k] = how;
+  }
+}
+
 std::atomic<const detail::KernelTable*> g_table{nullptr};
 std::atomic<int> g_backend{-1};
 
@@ -221,6 +249,7 @@ const KernelTable& scalar_table() {
       s_peak_abs_correlation_scaled,
       s_xor_popcount,
       s_hyp_sums,
+      s_dtw_p1_row,
   };
   return t;
 }
@@ -317,6 +346,12 @@ void xor_popcount(const std::uint8_t* pre, std::uint8_t y, std::uint8_t* out,
 void hyp_sums(const std::uint8_t* row, std::int64_t* sh, std::int64_t* sh2,
               std::size_t n) {
   table().hyp_sums(row, sh, sh2, n);
+}
+
+void dtw_p1_row(const double* cost, const double* cost_up, const double* d1,
+                const double* d2, double* out, std::uint8_t* step,
+                std::size_t n) {
+  table().dtw_p1_row(cost, cost_up, d1, d2, out, step, n);
 }
 
 }  // namespace rftc::simd

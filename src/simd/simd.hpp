@@ -126,4 +126,19 @@ void xor_popcount(const std::uint8_t* pre, std::uint8_t y, std::uint8_t* out,
 void hyp_sums(const std::uint8_t* row, std::int64_t* sh, std::int64_t* sh2,
               std::size_t n);
 
+/// One row of the slope-constrained (Sakoe–Chiba P = 1) DTW recurrence.
+/// Per lane k, with c = cost[k], the three step candidates are
+///   (1,1): d1[k] + c
+///   (1,2): (d1[k - 1] + cost[k - 1]) + c
+///   (2,1): (d2[k] + cost_up[k]) + c
+/// and, starting from best = +inf, each one in that order replaces best
+/// when it compares strictly smaller (an unordered compare never does).
+/// out[k] = best and step[k] = the winning candidate's index (0, 1, 2), or
+/// 255 with out[k] = +inf when none wins.  `cost` and `d1` are read at
+/// index -1.  Lanes are independent, so AVX2 computes four at a time with
+/// the same operation sequence.
+void dtw_p1_row(const double* cost, const double* cost_up, const double* d1,
+                const double* d2, double* out, std::uint8_t* step,
+                std::size_t n);
+
 }  // namespace rftc::simd

@@ -314,6 +314,65 @@ void v_hyp_sums(const std::uint8_t* row, std::int64_t* sh, std::int64_t* sh2,
   }
 }
 
+void v_dtw_p1_row(const double* cost, const double* cost_up, const double* d1,
+                  const double* d2, double* out, std::uint8_t* step,
+                  std::size_t n) {
+  const __m256d inf = _mm256_set1_pd(INFINITY);
+  const __m256d none = _mm256_set1_pd(255.0);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d two = _mm256_set1_pd(2.0);
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const __m256d c = _mm256_loadu_pd(cost + k);
+    const __m256d v0 = _mm256_add_pd(_mm256_loadu_pd(d1 + k), c);
+    const __m256d v1 = _mm256_add_pd(
+        _mm256_add_pd(_mm256_loadu_pd(d1 + k - 1),
+                      _mm256_loadu_pd(cost + k - 1)),
+        c);
+    const __m256d v2 = _mm256_add_pd(
+        _mm256_add_pd(_mm256_loadu_pd(d2 + k), _mm256_loadu_pd(cost_up + k)),
+        c);
+    // Ordered, quiet compares: NaN never wins, exactly like the scalar `<`.
+    const __m256d m0 = _mm256_cmp_pd(v0, inf, _CMP_LT_OQ);
+    __m256d best = _mm256_blendv_pd(inf, v0, m0);
+    __m256d how = _mm256_blendv_pd(none, _mm256_setzero_pd(), m0);
+    const __m256d m1 = _mm256_cmp_pd(v1, best, _CMP_LT_OQ);
+    best = _mm256_blendv_pd(best, v1, m1);
+    how = _mm256_blendv_pd(how, one, m1);
+    const __m256d m2 = _mm256_cmp_pd(v2, best, _CMP_LT_OQ);
+    best = _mm256_blendv_pd(best, v2, m2);
+    how = _mm256_blendv_pd(how, two, m2);
+    _mm256_storeu_pd(out + k, best);
+    const __m128i h32 = _mm256_cvttpd_epi32(how);
+    const __m128i h8 = _mm_packus_epi16(_mm_packus_epi32(h32, h32), h32);
+    const std::uint32_t packed =
+        static_cast<std::uint32_t>(_mm_cvtsi128_si32(h8));
+    std::memcpy(step + k, &packed, 4);
+  }
+  for (; k < n; ++k) {
+    const double c = cost[k];
+    double best = INFINITY;
+    std::uint8_t how = 255;
+    const double v0 = d1[k] + c;
+    if (v0 < best) {
+      best = v0;
+      how = 0;
+    }
+    const double v1 = (d1[k - 1] + cost[k - 1]) + c;
+    if (v1 < best) {
+      best = v1;
+      how = 1;
+    }
+    const double v2 = (d2[k] + cost_up[k]) + c;
+    if (v2 < best) {
+      best = v2;
+      how = 2;
+    }
+    out[k] = best;
+    step[k] = how;
+  }
+}
+
 }  // namespace
 
 const KernelTable& avx2_table() {
@@ -333,6 +392,7 @@ const KernelTable& avx2_table() {
       v_peak_abs_correlation_scaled,
       v_xor_popcount,
       v_hyp_sums,
+      v_dtw_p1_row,
   };
   return t;
 }

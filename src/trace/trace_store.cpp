@@ -9,11 +9,13 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
 #include "util/crc32.hpp"
 #include "util/env.hpp"
+#include "util/io.hpp"
 
 namespace rftc::trace {
 
@@ -95,28 +97,37 @@ std::size_t default_chunk_traces() {
 TraceStoreWriter::TraceStoreWriter(const std::string& path,
                                    std::size_t n_samples,
                                    std::size_t chunk_traces)
-    : path_(path), n_samples_(n_samples), chunk_traces_(chunk_traces) {
+    : path_(path),
+      partial_path_(path + ".partial"),
+      n_samples_(n_samples),
+      chunk_traces_(chunk_traces),
+      uncaught_at_open_(std::uncaught_exceptions()) {
   if (n_samples == 0)
     throw std::invalid_argument("TraceStoreWriter: zero samples");
   if (chunk_traces == 0)
     throw std::invalid_argument("TraceStoreWriter: zero chunk size");
-  fd_ = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
+  fd_ = ::open(partial_path_.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC,
+               0644);
   if (fd_ < 0)
-    fail("cannot create: " + std::string(std::strerror(errno)), path_);
+    fail("cannot create: " + std::string(std::strerror(errno)), partial_path_);
   unsigned char h[kHeaderBytes];
   encode_header(h, n_samples_, kOpenSentinel, chunk_traces_, kOpenSentinel);
-  write_all(fd_, h, sizeof h, path_);
+  write_all(fd_, h, sizeof h, partial_path_);
   pend_data_.reserve(chunk_traces_ * n_samples_);
   pend_pt_.reserve(chunk_traces_);
   pend_ct_.reserve(chunk_traces_);
 }
 
 TraceStoreWriter::~TraceStoreWriter() {
-  try {
-    finalize();
-  } catch (...) {
-    // Destructor path: the file stays unfinalized (open sentinel in the
-    // header) and readers will reject it — never terminate for I/O.
+  // A writer unwound by an exception never publishes: its producer did not
+  // finish, and a short store under the final name would look complete.
+  if (std::uncaught_exceptions() == uncaught_at_open_) {
+    try {
+      finalize();
+    } catch (...) {
+      // Destructor path: only the .partial file remains (open sentinel in
+      // its header) — never terminate for I/O.
+    }
   }
   if (fd_ >= 0) ::close(fd_);
 }
@@ -151,10 +162,11 @@ void TraceStoreWriter::flush_chunk() {
   unsigned char ch[kChunkHeaderBytes] = {};
   put_u64(ch, count);
   put_u32(ch + 8, crc);
-  write_all(fd_, ch, sizeof ch, path_);
-  write_all(fd_, pend_pt_.data(), 16 * count, path_);
-  write_all(fd_, pend_ct_.data(), 16 * count, path_);
-  write_all(fd_, pend_data_.data(), pend_data_.size() * sizeof(float), path_);
+  write_all(fd_, ch, sizeof ch, partial_path_);
+  write_all(fd_, pend_pt_.data(), 16 * count, partial_path_);
+  write_all(fd_, pend_ct_.data(), 16 * count, partial_path_);
+  write_all(fd_, pend_data_.data(), pend_data_.size() * sizeof(float),
+            partial_path_);
   pend_data_.clear();
   pend_pt_.clear();
   pend_ct_.clear();
@@ -170,13 +182,25 @@ void TraceStoreWriter::finalize() {
   // that window leaves a header whose counts a resuming coordinator would
   // trust while the payload behind it is unsynced garbage.
   if (::fsync(fd_) != 0)
-    fail("chunk fsync failed: " + std::string(std::strerror(errno)), path_);
+    fail("chunk fsync failed: " + std::string(std::strerror(errno)),
+         partial_path_);
   unsigned char h[kHeaderBytes];
   encode_header(h, n_samples_, n_traces_, chunk_traces_, n_chunks_);
   if (::pwrite(fd_, h, sizeof h, 0) != static_cast<ssize_t>(sizeof h))
-    fail("header patch failed: " + std::string(std::strerror(errno)), path_);
+    fail("header patch failed: " + std::string(std::strerror(errno)),
+         partial_path_);
   if (::fsync(fd_) != 0)
-    fail("fsync failed: " + std::string(std::strerror(errno)), path_);
+    fail("fsync failed: " + std::string(std::strerror(errno)), partial_path_);
+  // Only a complete, synced store takes the final name, and it takes a new
+  // inode: a reader still mapping the previous store at `path_` keeps
+  // reading that one intact.
+  try {
+    publish_file(partial_path_, path_);
+  } catch (const std::runtime_error& e) {
+    fail(e.what(), path_);
+  }
+  ::close(fd_);
+  fd_ = -1;
   finalized_ = true;
 }
 

@@ -32,9 +32,10 @@
 //       traces       4*n_samples*count bytes (float32)
 //
 // Every section size is a multiple of 4, so the float matrix of a mapped
-// chunk is always 4-byte aligned.  An unfinalized file (writer crashed
-// before finalize()) has n_traces/n_chunks still at the open-sentinel and
-// is rejected by TraceStore with a distinct error.
+// chunk is always 4-byte aligned.  An unfinalized file (the `.partial` a
+// writer leaves when it crashes before finalize()) has n_traces/n_chunks
+// still at the open-sentinel and is rejected by TraceStore with a distinct
+// error.
 //
 // RFTC_TRACE_CHUNK=<n> sets the default traces-per-chunk (default 1024 —
 // ~2 MB of float data at the simulator's 500-sample window).
@@ -60,6 +61,13 @@ std::size_t default_chunk_traces();
 /// pending chunk (O(chunk) memory) and flush whenever it fills; finalize()
 /// flushes the short tail chunk and patches the header counts.  Any I/O
 /// failure throws std::runtime_error.
+///
+/// The writer fills `<path>.partial`; finalize() fsyncs it and renames it
+/// over `path` (then fsyncs the directory), so `path` only ever names a
+/// complete store, an older store at `path` stays readable by processes
+/// that have it open, and a writer that dies or is unwound by an exception
+/// before finalize() leaves only the `.partial` file.  Destroying an
+/// unfinalized writer outside exception unwinding finalizes it.
 class TraceStoreWriter {
  public:
   TraceStoreWriter(const std::string& path, std::size_t n_samples,
@@ -90,11 +98,13 @@ class TraceStoreWriter {
   void flush_chunk();
 
   std::string path_;
+  std::string partial_path_;
   std::size_t n_samples_;
   std::size_t chunk_traces_;
   std::size_t n_traces_ = 0;
   std::size_t n_chunks_ = 0;
   bool finalized_ = false;
+  int uncaught_at_open_;
   int fd_ = -1;
   // Pending chunk (at most chunk_traces_ entries).
   std::vector<float> pend_data_;

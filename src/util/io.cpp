@@ -1,12 +1,32 @@
 #include "util/io.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 namespace rftc {
+
+void publish_file(const std::string& tmp, const std::string& path) {
+  if (std::rename(tmp.c_str(), path.c_str()) != 0)
+    throw std::runtime_error("rename " + tmp + " -> " + path +
+                             " failed: " + std::strerror(errno));
+  const std::size_t slash = path.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : path.substr(0, slash == 0 ? 1 : slash);
+  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dfd >= 0) {
+    ::fsync(dfd);
+    ::close(dfd);
+  }
+}
 
 void write_csv(const std::string& path, std::span<const std::string> header,
                std::span<const std::vector<double>> columns) {

@@ -1,4 +1,5 @@
-// Small output helpers: CSV writing and ASCII line plots for bench binaries.
+// Small output helpers: CSV writing and ASCII line plots for bench binaries,
+// and the crash-safe publish step shared by every durable file writer.
 #pragma once
 
 #include <span>
@@ -19,5 +20,13 @@ void write_csv(const std::string& path, std::span<const std::string> header,
 std::string ascii_plot(std::span<const std::vector<double>> series,
                        std::size_t width = 78, std::size_t height = 20,
                        double y_lo = 0.0, double y_hi = -1.0);
+
+/// Publishes `tmp`, already written and fsynced in full, as `path`:
+/// rename(2) over any existing file, then fsync of the parent directory so
+/// the rename itself survives a crash.  The swap is atomic: a reader sees
+/// the old file or the new one, and a reader that opened (or mapped) the
+/// old file keeps its inode.  Throws std::runtime_error when the rename
+/// fails.
+void publish_file(const std::string& tmp, const std::string& path);
 
 }  // namespace rftc

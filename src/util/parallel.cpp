@@ -91,6 +91,8 @@ class Pool {
     g.set(static_cast<double>(workers + 1));  // workers + the calling thread
   }
 
+  std::size_t workers() const { return threads_.size(); }
+
   ~Pool() {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -157,7 +159,6 @@ Pool* g_pool = nullptr;  // lazily created
 // (the top-level caller holds g_pool_mu for the whole job — taking it here
 // would deadlock).
 std::atomic<std::size_t> g_threads{0};
-bool g_pool_stale = false;  // set_thread_count() happened
 
 std::size_t resolved_thread_count() {
   const std::size_t v = g_threads.load(std::memory_order_acquire);
@@ -177,7 +178,6 @@ std::size_t thread_count() { return resolved_thread_count(); }
 void set_thread_count(std::size_t n) {
   std::lock_guard<std::mutex> lock(g_pool_mu);
   g_threads.store(n == 0 ? env_thread_count() : n, std::memory_order_release);
-  g_pool_stale = true;
 }
 
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
@@ -210,12 +210,14 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
   job.shards = shards;
 
   // One job at a time: concurrent top-level callers queue here.  The pool
-  // is created on first parallel use and rebuilt after set_thread_count().
+  // is created on first parallel use and rebuilt only when the resolved
+  // worker count differs from the live pool's, so a 4 -> 1 -> 4 sweep
+  // keeps its threads (and their malloc arenas).
   std::lock_guard<std::mutex> dispatch(g_pool_mu);
-  if (g_pool == nullptr || g_pool_stale) {
+  const std::size_t workers = g_threads.load(std::memory_order_relaxed) - 1;
+  if (g_pool == nullptr || g_pool->workers() != workers) {
     delete g_pool;
-    g_pool = new Pool(g_threads.load(std::memory_order_relaxed) - 1);
-    g_pool_stale = false;
+    g_pool = new Pool(workers);
   }
   g_pool->run(job);
   if (job.error) std::rethrow_exception(job.error);

@@ -40,8 +40,9 @@ namespace rftc::par {
 std::size_t thread_count();
 
 /// Overrides the worker count (n >= 1); n == 0 re-reads RFTC_THREADS / the
-/// hardware default.  Recreates the pool on next use.  Not safe to call
-/// concurrently with running parallel work — intended for setup and tests.
+/// hardware default.  The next pooled call rebuilds the pool only if the
+/// worker count changed.  Not safe to call concurrently with running
+/// parallel work — intended for setup and tests.
 void set_thread_count(std::size_t n);
 
 /// Splits [begin, end) into shards of `grain` elements (the last shard may

@@ -246,7 +246,7 @@ TEST(DtwDistance, WorkspaceReuseAcrossShapesStaysExact) {
 
 TEST(DtwAlign, AlignIntoMatchesAlignAndReusesBuffer) {
   Xoshiro256StarStar rng(31);
-  std::vector<float> out;  // deliberately reused across shapes and modes
+  std::vector<float> out;  // deliberately reused across shapes
   for (int iter = 0; iter < 20; ++iter) {
     const std::size_t n = 8 + rng.uniform(56);
     const std::size_t m = 8 + rng.uniform(56);
@@ -254,15 +254,25 @@ TEST(DtwAlign, AlignIntoMatchesAlignAndReusesBuffer) {
     std::vector<float> tr(m);
     for (auto& v : ref) v = rng.gaussian();
     for (auto& v : tr) v = static_cast<float>(rng.gaussian());
-    for (const bool slope : {true, false}) {
-      const DtwParams p{.band = 8, .slope_constrained = slope};
-      const std::vector<float> fresh = dtw_align(ref, tr, p);
-      dtw_align_into(ref, tr, p, out);
-      ASSERT_EQ(out.size(), fresh.size());
-      for (std::size_t i = 0; i < fresh.size(); ++i)
-        EXPECT_EQ(out[i], fresh[i]) << "i=" << i << " slope=" << slope;
-    }
+    const DtwParams p{.band = 8};
+    const std::vector<float> fresh = dtw_align(ref, tr, p);
+    dtw_align_into(ref, tr, p, out);
+    ASSERT_EQ(out.size(), fresh.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i)
+      EXPECT_EQ(out[i], fresh[i]) << "i=" << i;
+    // The span form writes the same values into a caller-owned row.
+    std::vector<float> row(n + 2, -1.0f);
+    dtw_align_into(ref, tr, p, std::span<float>(row.data() + 1, n));
+    EXPECT_EQ(row.front(), -1.0f);
+    EXPECT_EQ(row.back(), -1.0f);
+    for (std::size_t i = 0; i < fresh.size(); ++i)
+      EXPECT_EQ(row[i + 1], fresh[i]) << "i=" << i;
   }
+  std::vector<float> wrong(3);
+  EXPECT_THROW(dtw_align_into(std::vector<double>(4, 0.0),
+                              std::vector<float>(4, 0.0f), {},
+                              std::span<float>(wrong)),
+               std::invalid_argument);
 }
 
 TEST(DtwAlign, IgnoresMaxDistance) {

@@ -124,6 +124,25 @@ TEST(MagnitudeSpectrum, PadsToPowerOfTwo) {
   EXPECT_NEAR(mag[0], 100.0, 1e-9);  // DC = sum of samples
 }
 
+TEST(MagnitudeSpectrum, IntoFormIsTheFloatRoundedSpectrum) {
+  // The campaign loop writes feature rows in place; each bin must be the
+  // vector form's double rounded to float, across reused per-thread
+  // scratch of different lengths.
+  Xoshiro256StarStar rng(29);
+  for (const std::size_t len : {std::size_t{100}, std::size_t{7},
+                                std::size_t{256}, std::size_t{1}}) {
+    std::vector<float> sig(len);
+    for (auto& v : sig) v = static_cast<float>(rng.gaussian());
+    const auto mag = magnitude_spectrum(sig);
+    std::vector<float> row(mag.size());
+    magnitude_spectrum_into(sig, row);
+    for (std::size_t k = 0; k < mag.size(); ++k)
+      EXPECT_EQ(row[k], static_cast<float>(mag[k])) << "len=" << len;
+  }
+  std::vector<float> sig(100, 1.0f), wrong(50);
+  EXPECT_THROW(magnitude_spectrum_into(sig, wrong), std::invalid_argument);
+}
+
 TEST(MagnitudeSpectrum, EmptySignalThrows) {
   // A size-0 trace used to come back as an empty spectrum and flow on
   // silently; it must be rejected at the API boundary.

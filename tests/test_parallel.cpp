@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstring>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -135,6 +138,71 @@ TEST(Parallel, ShardedReduceMergesInShardOrder) {
     if (reference.empty()) reference = out;
     EXPECT_EQ(out, reference);
   }
+}
+
+/// A per-thread serial number: unlike std::thread::id (a pthread_t, which
+/// a new thread may inherit from a joined one), a fresh thread always gets
+/// a fresh serial.
+std::uint64_t thread_serial() {
+  static std::atomic<std::uint64_t> next{1};
+  thread_local const std::uint64_t serial = next.fetch_add(1);
+  return serial;
+}
+
+/// Serials of every pool thread: `threads` shards that each wait until all
+/// `threads` have started, so each thread of the pool runs exactly one.
+std::set<std::uint64_t> pool_thread_serials(std::size_t threads) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::uint64_t> serials;
+  std::size_t arrived = 0;
+  parallel_for(0, threads, 1, [&](std::size_t, std::size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    serials.insert(thread_serial());
+    ++arrived;
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(30),
+                [&] { return arrived == threads; });
+  });
+  return serials;
+}
+
+TEST(Parallel, UnchangedThreadCountKeepsThePoolAcrossSweeps) {
+  // A 4 -> 1 -> 4 sweep must land on the same worker threads (no join and
+  // respawn) and produce the same bits.
+  ThreadCountGuard guard;
+  const auto reduce = [] {
+    return sharded_reduce(
+        0, 1000, 7, 0.0,
+        [](std::size_t b, std::size_t e) {
+          double acc = 0.0;
+          for (std::size_t i = b; i < e; ++i)
+            acc += 1.0 / static_cast<double>(i + 1);
+          return acc;
+        },
+        [](double& acc, double&& part) { acc += part; });
+  };
+  set_thread_count(4);
+  const std::set<std::uint64_t> first = pool_thread_serials(4);
+  ASSERT_EQ(first.size(), 4u);
+  const double r4 = reduce();
+  set_thread_count(1);
+  const double r1 = reduce();
+  set_thread_count(4);
+  const std::set<std::uint64_t> second = pool_thread_serials(4);
+  const double r4_again = reduce();
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(std::memcmp(&r4, &r1, sizeof r4), 0);
+  EXPECT_EQ(std::memcmp(&r4, &r4_again, sizeof r4), 0);
+  // A different count does rebuild the pool.
+  set_thread_count(3);
+  const std::set<std::uint64_t> third = pool_thread_serials(3);
+  ASSERT_EQ(third.size(), 3u);
+  EXPECT_EQ(third.count(thread_serial()), 1u) << "caller participates";
+  std::size_t shared = 0;
+  for (const std::uint64_t s : third)
+    shared += s != thread_serial() && second.count(s) != 0;
+  EXPECT_EQ(shared, 0u);
 }
 
 TEST(Parallel, ShardedReduceEmptyRangeReturnsInit) {

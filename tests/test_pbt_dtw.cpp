@@ -31,7 +31,6 @@ using pbt::Rng;
 struct DtwCase {
   std::vector<double> a, b;
   std::size_t band = 0;
-  bool slope = true;
 };
 
 DtwCase gen_case(Rng& rng) {
@@ -39,14 +38,13 @@ DtwCase gen_case(Rng& rng) {
   c.a = pbt::gen::real_vector(rng, 1, 40, -4.0, 4.0);
   c.b = pbt::gen::real_vector(rng, 1, 40, -4.0, 4.0);
   c.band = pbt::gen::size_in(rng, 0, 48);
-  c.slope = (rng.next() & 1) != 0;
   return c;
 }
 
 std::string show_case(const DtwCase& c) {
   std::ostringstream os;
   os << "len_a=" << c.a.size() << " len_b=" << c.b.size()
-     << " band=" << c.band << " slope=" << c.slope << " a=[";
+     << " band=" << c.band << " a=[";
   for (const double x : c.a) os << x << " ";
   os << "] b=[";
   for (const double x : c.b) os << x << " ";
@@ -86,7 +84,7 @@ TEST(PbtDtw, DistanceIsSymmetric) {
   const bool ok = pbt::check<DtwCase>(
       "dtw_symmetry", gen_case,
       [](const DtwCase& c) -> std::optional<std::string> {
-        const DtwParams params{.band = c.band, .slope_constrained = c.slope};
+        const DtwParams params{.band = c.band};
         const double ab = dtw_distance(c.a, c.b, params);
         const double ba = dtw_distance(c.b, c.a, params);
         if (!bit_equal(ab, ba)) {
@@ -109,8 +107,7 @@ TEST(PbtDtw, WideningTheBandNeverIncreasesTheDistance) {
       "dtw_band_containment", gen_case,
       [](const DtwCase& c) -> std::optional<std::string> {
         const std::size_t full = std::max(c.a.size(), c.b.size());
-        DtwParams narrow{.band = std::max<std::size_t>(1, c.band),
-                         .slope_constrained = c.slope};
+        DtwParams narrow{.band = std::max<std::size_t>(1, c.band)};
         DtwParams wider = narrow;
         wider.band = narrow.band * 2;
         DtwParams covering = narrow;
@@ -148,7 +145,7 @@ TEST(PbtDtw, PrunedAgreesWithNaiveOrAbandons) {
   const bool ok = pbt::check<DtwCase>(
       "dtw_pruned_vs_naive", gen_case,
       [](const DtwCase& c) -> std::optional<std::string> {
-        const DtwParams base{.band = c.band, .slope_constrained = c.slope};
+        const DtwParams base{.band = c.band};
         const double exact = dtw_distance(c.a, c.b, base);
 
         DtwParams at = base;

@@ -129,6 +129,19 @@ TEST(Pca, ProjectValidatesDimensions) {
   const PcaBasis basis = compute_pca(set, 2, 50);
   std::vector<float> wrong(9, 0.0f);
   EXPECT_THROW(basis.project(wrong), std::invalid_argument);
+  std::vector<float> short_row(1);
+  EXPECT_THROW(basis.project_into(set.trace(0), short_row),
+               std::invalid_argument);
+}
+
+TEST(Pca, ProjectIntoMatchesProject) {
+  const auto set = make_correlated_set(60, 10, 19);
+  const PcaBasis basis = compute_pca(set, 3, 60);
+  std::vector<float> row(basis.dims());
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    basis.project_into(set.trace(i), row);
+    EXPECT_EQ(row, basis.project(set.trace(i))) << "trace " << i;
+  }
 }
 
 TEST(Pca, NeedsAtLeastTwoTraces) {

@@ -166,10 +166,21 @@ TraceSet durability_set() {
 
 TEST(TraceStoreDurability, WriterKilledBeforeFinalizeIsDetectedOnOpen) {
   // Real crash simulation: the child writes chunks and dies via _exit
-  // (no destructors, no flush) before finalize() — the header must still
-  // carry the open sentinel, so readers reject the torn store instead of
-  // analyzing a silently truncated corpus.
+  // (no destructors, no flush) before finalize().  The final path must
+  // still hold the previous store, untouched; the torn campaign exists
+  // only as `<path>.partial`, whose header still carries the open
+  // sentinel, so readers reject it instead of analyzing a silently
+  // truncated corpus.
   const std::string path = temp_store("kill_before_finalize");
+  const std::string partial = path + ".partial";
+  std::filesystem::remove(partial);
+  TraceSet old_set(6);
+  old_set.add(std::vector<float>(6, 7.0f), aes::Block{}, aes::Block{});
+  {
+    TraceStoreWriter w(path, 6, 4);
+    w.append(old_set);
+    w.finalize();
+  }
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
@@ -181,7 +192,86 @@ TEST(TraceStoreDurability, WriterKilledBeforeFinalizeIsDetectedOnOpen) {
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status));
   ASSERT_EQ(WEXITSTATUS(status), 0);
+  ASSERT_TRUE(std::filesystem::exists(partial));
+  EXPECT_THROW(TraceStore{partial}, std::runtime_error);
+  const TraceStore store(path);
+  EXPECT_TRUE(store.verify().ok);
+  expect_store_equals_set(store, old_set);
+  std::filesystem::remove(path);
+  std::filesystem::remove(partial);
+
+  // Without an older store, the final path simply does not exist.
+  const pid_t pid2 = ::fork();
+  ASSERT_GE(pid2, 0);
+  if (pid2 == 0) {
+    TraceStoreWriter w(path, 6, 4);
+    w.append(durability_set());
+    _exit(0);
+  }
+  ASSERT_EQ(::waitpid(pid2, &status, 0), pid2);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_TRUE(std::filesystem::exists(partial));
   EXPECT_THROW(TraceStore{path}, std::runtime_error);
+  std::filesystem::remove(partial);
+}
+
+TEST(TraceStoreDurability, WriterUnwoundByExceptionLeavesOnlyPartial) {
+  // A producer that throws mid-campaign must not publish its short store
+  // under the final name (the destructor only finalizes on a normal exit).
+  const std::string path = temp_store("unwound");
+  const std::string partial = path + ".partial";
+  try {
+    TraceStoreWriter w(path, 6, 4);
+    w.append(durability_set());
+    throw std::runtime_error("producer failed");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_TRUE(std::filesystem::exists(partial));
+  // A normally destroyed writer still finalizes.
+  {
+    TraceStoreWriter w(path, 6, 4);
+    w.append(durability_set());
+  }
+  EXPECT_FALSE(std::filesystem::exists(partial));
+  const TraceStore store(path);
+  expect_store_equals_set(store, durability_set());
+  std::filesystem::remove(path);
+}
+
+TEST(TraceStoreDurability, MappedReaderSurvivesRewriteOfTheSamePath) {
+  // A reader holding the old store (fd open, a chunk mapped) while another
+  // writer rewrites and finalizes the same path must keep reading the old,
+  // verify()-clean bytes.  Truncating the file in place would SIGBUS the
+  // mapped chunk or fail its CRC; the rename swaps in a new inode instead.
+  const std::string path = temp_store("rewrite_under_reader");
+  const TraceSet old_set = durability_set();
+  {
+    TraceStoreWriter w(path, 6, 4);
+    w.append(old_set);
+    w.finalize();
+  }
+  const TraceStore reader(path);
+  const TraceChunk mapped = reader.chunk(0);
+  TraceSet new_set(6);
+  for (std::size_t i = 0; i < 3; ++i)
+    new_set.add(std::vector<float>(6, -1.0f - static_cast<float>(i)),
+                aes::Block{}, aes::Block{});
+  {
+    TraceStoreWriter w(path, 6, 2);
+    w.append(new_set);
+    w.finalize();
+  }
+  EXPECT_TRUE(mapped.crc_ok());
+  EXPECT_EQ(0, std::memcmp(mapped.trace(3).data(), old_set.trace(3).data(),
+                           6 * sizeof(float)));
+  const StoreVerifyResult v = reader.verify();
+  EXPECT_TRUE(v.ok) << v.error;
+  expect_store_equals_set(reader, old_set);
+  const TraceStore fresh(path);
+  EXPECT_TRUE(fresh.verify().ok);
+  expect_store_equals_set(fresh, new_set);
   std::filesystem::remove(path);
 }
 
